@@ -3,12 +3,16 @@
 One *pass* sets up and fits the stack, pins its baseline version, streams
 the feed batch by batch through ``EmbeddingService.apply`` and after every
 batch sends a fixed number of queries over one keep-alive HTTP connection
-(closed loop, one main thread), then saves and reloads the store.  The
-correctness gates and the two downstream evaluations run after each pass,
-outside the timed phases.  :func:`run` repeats passes until the requested
-time has been measured, then repeats set-up and fit alone until the
-workload's number of builds is reached; latencies are pooled over passes
-and set-up and fit are reported as medians over builds.
+(closed loop, one main thread), then saves and reloads the store.  Its
+correctness gates run after it, outside the timed phases.
+
+:func:`run` makes a fixed number of passes.  They replay the same stream
+and query plan (a gate checks that every pass ends bit-identical), so each
+batch, query and fit is timed once per pass and reported as its mean over
+passes; see ``workloads.MIN_PASSES``.  Set-up alone repeats up to
+``workloads.SETUPS`` times and is reported as a median.  The one-shot gate
+and the two downstream evaluations run on the first pass only: later passes
+end in the same head store.
 
 Every failed query, invisible commit or failed gate is one failed
 operation; batches, queries and gates are the operations attempted.
@@ -44,7 +48,7 @@ from repro.serve.backend import LocalBackend
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.router import SnapshotRouter
 from repro.serve.server import EmbeddingServer
-from repro.service.feed import churn_feed, partition_feed
+from repro.service.feed import churn_feed
 from repro.service.service import EmbeddingService
 from repro.service.store import EmbeddingStore
 
@@ -54,14 +58,17 @@ from perfbench.workloads import (
     NODE2VEC_CONFIG, PINNED_EVERY, QUERIES_PER_BATCH, QUERY_MIX, ZIPF_EXPONENT,
     Workload,
 )
+from perfbench.tracing import NULL_TRACER
 
 #: Churn shares of the CRUD workloads (of each batch's inserts).
 DELETE_FRACTION = 0.15
 UPDATE_FRACTION = 0.15
 #: Folds of the static cross-validation (the paper's protocol), repeated
-#: over differently seeded fold assignments and averaged.
+#: over differently seeded fold assignments and averaged.  The fold seeds
+#: derive from ``DATA_SEED``, so both accuracies are fixed per workload and
+#: move only when the embeddings do.
 CV_FOLDS = 10
-CV_REPEATS = 3
+CV_REPEATS = 10
 
 
 @dataclass
@@ -89,54 +96,62 @@ class Pass:
     """Raw measurements of one streamed pass."""
 
     build: Build | None  # dropped once a later pass has run
-    apply_s: list[float]
-    query_s: list[float]
+    apply_s: list[float]  # per batch, in feed order
+    query_s: list[float]  # per query, in plan order
     ops: int
+    setup_s: float
+    fit_s: float
     stream_s: float
     persist_s: float
-    static_acc: float
-    new_acc: float
     baseline_digest: str  # of the version-1 store; equal on every build
     head_digest: str  # of the head store after the stream; equal on every pass
     attempted: int
     failures: list[str]
     intervals: list[tuple[float, float]]
 
+    @property
+    def wall_s(self) -> float:
+        """Set-up + fit + stream/serve + persist."""
+        return self.setup_s + self.fit_s + self.stream_s + self.persist_s
+
 
 @dataclass
 class Result:
-    """All passes and builds of one run, with the aggregates it reports."""
+    """All passes and set-ups of one run, with the aggregates it reports.
+
+    Per-item timings are means over passes (see the module docstring).
+    """
 
     passes: list[Pass]
     setup_s: list[float]
-    fit_s: list[float]
+    static_acc: float
+    new_acc: float
     peak_rss_mb: float
     attempted: int
     failures: list[str]
 
     @property
-    def apply_s(self) -> list[float]:
-        return [t for p in self.passes for t in p.apply_s]
+    def apply_s(self) -> np.ndarray:
+        return np.mean([p.apply_s for p in self.passes], axis=0)
 
     @property
-    def query_s(self) -> list[float]:
-        return [t for p in self.passes for t in p.query_s]
+    def query_s(self) -> np.ndarray:
+        return np.mean([p.query_s for p in self.passes], axis=0)
+
+    @property
+    def fit_s(self) -> float:
+        return statistics.mean(p.fit_s for p in self.passes)
 
     @property
     def ops(self) -> int:
-        return sum(p.ops for p in self.passes)
+        return self.passes[0].ops
 
     @property
     def wall_s(self) -> float:
-        """Set-up + fit + stream/serve + persist of one pass (medians)."""
-        return (
-            statistics.median(self.setup_s) + statistics.median(self.fit_s)
-            + statistics.median(p.stream_s for p in self.passes)
-            + statistics.median(p.persist_s for p in self.passes)
-        )
+        return statistics.mean(p.wall_s for p in self.passes)
 
 
-def _build(workload: Workload, tracer, traced: bool) -> Build:
+def _build(workload: Workload, tracer) -> Build:
     span = tracer.span
     begun = time.perf_counter()
     with span("datasets.load"):
@@ -144,13 +159,10 @@ def _build(workload: Workload, tracer, traced: bool) -> Build:
     with span("dynamic.partition"):
         partition = partition_dataset(dataset, ratio_new=workload.insert_ratio, rng=DATA_SEED)
     with span("feed.build"):
-        if workload.ops == ("insert",):
-            feed = partition_feed(partition, group_size=1)
-        else:
-            feed = churn_feed(
-                partition, group_size=1, delete_fraction=DELETE_FRACTION,
-                update_fraction=UPDATE_FRACTION, rng=DATA_SEED,
-            )
+        feed = churn_feed(
+            partition, group_size=1, delete_fraction=DELETE_FRACTION,
+            update_fraction=UPDATE_FRACTION, rng=DATA_SEED,
+        )
     with span("engine.compile"):
         engine = WalkEngine(partition.db)
     fit_begun = time.perf_counter()
@@ -165,7 +177,7 @@ def _build(workload: Workload, tracer, traced: bool) -> Build:
                 partition.db, rng=DATA_SEED, engine=engine,
             )
     fit_ended = time.perf_counter()
-    telemetry = Telemetry() if traced else None
+    telemetry = None if tracer is NULL_TRACER else Telemetry()
     with span("service.start"):
         service = EmbeddingService(
             model, partition.db, engine=engine if workload.method == "forward" else None,
@@ -194,28 +206,29 @@ def query_plan(baseline, count: int, seed: int) -> list[dict]:
     """``count`` queries over the baseline's facts, zipfian by popularity.
 
     Fact popularity ranks are a seeded permutation of the baseline fact ids,
-    so the hot facts differ per seed.  Relations are ranked by name, so the
-    slice sizes a workload reads (which set the query tail) do not depend on
-    the seed.
+    so the hot facts differ per seed.  Relation filters and slices pick a
+    relation uniformly: a slice costs in proportion to its relation's size
+    and slices set the query tail, so a relation mix that followed the
+    seeded hot facts would make the tail depend on the seed.
     """
     rng = np.random.default_rng([seed, 7])
     fact_ids = rng.permutation(np.asarray(sorted(baseline.row_of), dtype=np.int64))
     fact_p = _zipf(fact_ids.size)
     relations = sorted(set(baseline.relations))
-    relation_p = _zipf(len(relations))
     kinds = list(QUERY_MIX)
     mix = np.asarray([QUERY_MIX[k] for k in kinds])
     plan = []
     for _ in range(count):
         kind = kinds[int(rng.choice(len(kinds), p=mix))]
         if kind == "fetch":
-            op = {"kind": kind, "fact_ids": [int(f) for f in rng.choice(fact_ids, FETCH_IDS, p=fact_p)]}
+            ids = rng.choice(fact_ids, FETCH_IDS, p=fact_p)
+            op = {"kind": kind, "fact_ids": [int(f) for f in ids]}
         elif kind == "knn":
             op = {"kind": kind, "query": int(rng.choice(fact_ids, p=fact_p)), "k": K}
             if rng.random() < KNN_RELATION_SHARE:
-                op["relation"] = relations[int(rng.choice(len(relations), p=relation_p))]
+                op["relation"] = relations[int(rng.integers(len(relations)))]
         else:
-            op = {"kind": kind, "relation": relations[int(rng.choice(len(relations), p=relation_p))]}
+            op = {"kind": kind, "relation": relations[int(rng.integers(len(relations)))]}
         plan.append(op)
     return plan
 
@@ -276,7 +289,7 @@ def _one_shot_gate(workload: Workload, build: Build) -> list[str]:
     return gates.one_shot(head.fetch(ids), one_shot)
 
 
-def _accuracies(build: Build, seed: int) -> tuple[float, float]:
+def _accuracies(build: Build) -> tuple[float, float]:
     """Static CV accuracy on old facts; old-trained classifier on new facts."""
     head = build.service.store.head
     labels = build.dataset.labels()
@@ -291,7 +304,7 @@ def _accuracies(build: Build, seed: int) -> tuple[float, float]:
     new = labelled(build.partition.new_prediction_ids)
     static_acc = statistics.mean(
         cross_validated_accuracy(
-            old, n_splits=CV_FOLDS, rng=np.random.default_rng([seed, r])
+            old, n_splits=CV_FOLDS, rng=np.random.default_rng([DATA_SEED, r])
         )[0]
         for r in range(CV_REPEATS)
     )
@@ -308,7 +321,7 @@ def _digest(*snapshots) -> str:
     return digest.hexdigest()
 
 
-def stream_pass(workload: Workload, seed: int, workdir: Path, tracer, traced: bool) -> Pass:
+def stream_pass(workload: Workload, seed: int, workdir: Path, tracer) -> Pass:
     """Build, stream and serve, persist, then check; see the module docstring."""
     failures: list[str] = []
     checked = []
@@ -318,7 +331,7 @@ def stream_pass(workload: Workload, seed: int, workdir: Path, tracer, traced: bo
         if errors:
             failures.append(f"{name}: {'; '.join(errors)}")
 
-    build = _build(workload, tracer, traced)
+    build = _build(workload, tracer)
     gate("op_mix", gates.op_mix(build.feed.num_ops, workload.ops))
     service, router = build.service, build.router
     baseline = router.store.head
@@ -349,7 +362,8 @@ def stream_pass(workload: Workload, seed: int, workdir: Path, tracer, traced: bo
                 except (ServeError, OSError) as exc:
                     failures.append(f"query {i} failed: {exc}")
                     continue
-                query_s.append(time.perf_counter() - started)
+                finally:  # a failed query keeps its slot, so passes stay aligned
+                    query_s.append(time.perf_counter() - started)
                 if version is not None and gates.pinned_read(references[i], response):
                     failures.append(f"query {i}: pinned read differs from its reference")
         stream_ended = time.perf_counter()
@@ -371,55 +385,56 @@ def stream_pass(workload: Workload, seed: int, workdir: Path, tracer, traced: bo
     deleted = {op.fact.fact_id for batch in build.feed for op in batch.ops if op.kind == "delete"}
     gate("deleted_absent", gates.deleted_absent(head, deleted))
     gate("save_load", gates.same_snapshot(head, loaded.head))
-    if workload.policy == "recompute":
-        gate("one_shot", _one_shot_gate(workload, build))
-    static_acc, new_acc = _accuracies(build, seed)
     return Pass(
         build=build, apply_s=apply_s, query_s=query_s,
         ops=sum(len(batch.ops) for batch in build.feed),
+        setup_s=build.setup_s, fit_s=build.fit_s,
         stream_s=stream_ended - stream_begun, persist_s=persist_ended - persist_begun,
-        static_acc=float(static_acc), new_acc=float(new_acc),
         baseline_digest=_digest(baseline), head_digest=_digest(head),
         attempted=len(build.feed) + len(plan) + len(checked), failures=failures,
         intervals=build.intervals + [(stream_begun, stream_ended), (persist_begun, persist_ended)],
     )
 
 
-def run(
-    workload: Workload, seed: int, workdir: Path, tracer, traced: bool = False,
-    builds: int = 1, min_seconds: float = 0.0,
-) -> Result:
-    """Passes until ``min_seconds`` are measured, then builds up to ``builds``."""
-    passes: list[Pass] = []
-    setup_s: list[float] = []
-    fit_s: list[float] = []
-    measured = 0.0
-    while not passes or measured < min_seconds:
-        if passes:
-            passes[-1].build = None  # keep only the last pass's stack alive
+def run(workload: Workload, seed: int, workdir: Path, tracers: list, setups: int = 1) -> Result:
+    """One pass per tracer, then untraced set-ups alone until ``setups`` were made.
+
+    A :class:`~perfbench.tracing.Tracer` wraps the library only during its
+    own passes.
+    """
+    done: list[Pass] = []
+    failures: list[str] = []
+    attempted = 0
+    for n, tracer in enumerate(tracers):
+        if done:
+            done[-1].build = None  # keep only the last pass's stack alive
             gc.collect()
-        done = stream_pass(workload, seed, workdir, tracer, traced)
-        passes.append(done)
-        setup_s.append(done.build.setup_s)
-        fit_s.append(done.build.fit_s)
-        measured += done.build.setup_s + done.build.fit_s + done.stream_s + done.persist_s
+        with tracer.installed():
+            last = stream_pass(workload, seed, workdir, tracer)
+        done.append(last)
+        failures += last.failures
+        attempted += last.attempted
+        if n == 0:  # later passes end in the same head store (checked below)
+            if workload.policy == "recompute":
+                attempted += 1
+                errors = _one_shot_gate(workload, last.build)
+                failures += [f"one_shot: {'; '.join(errors)}"] if errors else []
+            static_acc, new_acc = _accuracies(last.build)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    extra_baselines = []
-    while len(setup_s) < builds:
+    setup_s = [p.setup_s for p in done]
+    baselines = [p.baseline_digest for p in done]
+    while len(setup_s) < setups:
         gc.collect()
-        extra = _build(workload, tracer, traced)
+        extra = _build(workload, NULL_TRACER)
         extra.stop()
         setup_s.append(extra.setup_s)
-        fit_s.append(extra.fit_s)
-        extra_baselines.append(_digest(extra.service.store.head))
+        baselines.append(_digest(extra.service.store.head))
         del extra
-    failures = [f for p in passes for f in p.failures]
-    errors = gates.identical(
-        [(p.baseline_digest, p.head_digest, p.static_acc, p.new_acc) for p in passes]
-    ) + gates.identical([passes[0].baseline_digest] + extra_baselines)
+    errors = gates.identical(baselines) + gates.identical([p.head_digest for p in done])
+    attempted += 1
     if errors:
         failures.append(f"deterministic: {'; '.join(errors)}")
     return Result(
-        passes=passes, setup_s=setup_s, fit_s=fit_s, peak_rss_mb=peak_rss_mb,
-        attempted=sum(p.attempted for p in passes) + 1, failures=failures,
+        passes=done, setup_s=setup_s, static_acc=float(static_acc), new_acc=float(new_acc),
+        peak_rss_mb=peak_rss_mb, attempted=attempted, failures=failures,
     )

@@ -2,16 +2,16 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload world-churn --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload world-churn --seed 1 --seconds 48 --trace 0
 
 Workloads are defined in ``perfbench/workloads.py``.  ``--trace 0`` runs
 the workload untraced and reports the end-to-end metrics; ``--trace 1``
-runs it once untraced and once with layer tracing, and reports the
-per-layer metrics (plus the tracing overhead between the two passes).
-``--seconds`` is the minimum time the run measures: whole passes (set-up,
-fit, stream and serve, persist) repeat until that much time has been
-measured, then set-up and fit alone repeat up to the workload's ``builds``;
-latencies are pooled over passes, set-up and fit reported as medians.
+makes two traced and two untraced passes and reports the per-layer metrics
+of the last traced pass, plus the tracing overhead between the two kinds.
+With ``--trace 0``, ``--seconds`` sets the number of passes (set-up, fit,
+stream and serve, persist), at least two; every batch, query and fit is
+reported as its mean over passes, and set-up, repeated alone as well, as a
+median.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``; the same object,
@@ -33,7 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
-from perfbench.workloads import BLAS_THREADS, PIN_ONE_CPU, WORKLOADS  # noqa: E402
+from perfbench.workloads import BLAS_THREADS, SETUPS, WORKLOADS, passes as run_passes  # noqa: E402
 
 # one BLAS thread, fixed before numpy is first imported (part of the workload)
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -63,7 +63,7 @@ def end_to_end(result) -> dict:
     query_ms = np.asarray(result.query_s) * 1e3
     values = {
         "setup_s": statistics.median(result.setup_s),
-        "fit_s": statistics.median(result.fit_s),
+        "fit_s": result.fit_s,
         "apply_ops_per_s": result.ops / float(np.sum(result.apply_s)),
         "apply_p50_ms": float(np.percentile(apply_ms, 50)),
         "apply_p90_ms": float(np.percentile(apply_ms, 90)),
@@ -72,8 +72,8 @@ def end_to_end(result) -> dict:
         "query_p99_ms": float(np.percentile(query_ms, 99)),
         "wall_s": result.wall_s,
         "peak_rss_mb": result.peak_rss_mb,
-        "static_acc": result.passes[0].static_acc,
-        "new_acc": result.passes[0].new_acc,
+        "static_acc": result.static_acc,
+        "new_acc": result.new_acc,
     }
     return {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END.items()}
 
@@ -88,48 +88,45 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
 
     _import_library()
-    if PIN_ONE_CPU:
-        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    # The main thread and the server's handler thread take turns (closed
+    # loop), so one CPU costs no parallelism; it replaces a cross-CPU
+    # wake-up per query by a same-CPU thread switch.
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     from perfbench.fingerprint import fingerprint, set_blas_threads
     from perfbench.pipeline import run
-    from perfbench.tracing import NULL_TRACER, Tracer, instrument, layer_metrics
+    from perfbench.tracing import NULL_TRACER, Tracer, layer_metrics
 
     workload = WORKLOADS[args.workload]
+    passes = run_passes(args.seconds)
     set_blas_threads(BLAS_THREADS)  # numpy may have been imported before main
     env = fingerprint(ROOT)
     if any(threads != BLAS_THREADS for threads in env["blas_threads"].values()):
         raise SystemExit(f"perfbench: BLAS threads {env['blas_threads']} != {BLAS_THREADS}")
     print("env " + json.dumps(env, sort_keys=True))
-    print(f"workload {workload.name} seed {args.seed} trace {args.trace} blas_threads {BLAS_THREADS}")
+    print(f"workload {workload.name} seed {args.seed} trace {args.trace} "
+          f"passes {passes} blas_threads {BLAS_THREADS}")
 
     out = ROOT / ".perfbench_out"
     out.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory(dir=out) as tmp:
-        workdir = Path(tmp)
         if not args.trace:
-            result = run(workload, args.seed, workdir, NULL_TRACER,
-                         builds=workload.builds, min_seconds=args.seconds)
+            result = run(workload, args.seed, Path(tmp), [NULL_TRACER] * passes, setups=SETUPS)
             metrics = end_to_end(result)
-            results = [result]
         else:
-            untraced = run(workload, args.seed, workdir, NULL_TRACER)
+            # ABBA: a linear drift in host speed cancels from the overhead, the
+            # first pass's warm-up counts against tracing, and the last pass,
+            # whose stack stays alive, is traced
             tracer = Tracer()
-            instrument(tracer)
-            try:
-                traced = run(workload, args.seed, workdir, tracer, traced=True)
-            finally:
-                tracer.uninstall()
-            metrics = layer_metrics(tracer, traced, untraced)
+            tracers = [tracer, NULL_TRACER, NULL_TRACER, tracer]
+            result = run(workload, args.seed, Path(tmp), tracers)
+            metrics = layer_metrics(tracer, result, tracers)
             tracer.dump(out / f"trace-{workload.name}-seed{args.seed}.json")
-            results = [untraced, traced]
 
-    failures = [f for r in results for f in r.failures]
-    attempted = sum(r.attempted for r in results)
+    failures, attempted = result.failures, result.attempted
     for name, metric in metrics.items():
         print(f"{name:<32}{metric['value']:>16.6g} {metric['unit']}")
-    for r in results:
-        print(f"samples: {len(r.passes)} passes, {len(r.setup_s)} builds, "
-              f"{len(r.apply_s)} batches, {len(r.query_s)} queries, {r.ops} ops")
+    print(f"samples: {len(result.passes)} passes, {len(result.setup_s)} set-ups, "
+          f"{len(result.apply_s)} batches, {len(result.query_s)} queries, {result.ops} ops")
     print(f"run took {time.perf_counter() - started:.1f} s")
     for failure in failures:
         print(f"FAILED: {failure}")
@@ -141,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     record = {
         "env": env, "workload": workload.name, "seed": args.seed, "trace": args.trace,
-        "blas_threads": BLAS_THREADS, "pinned_one_cpu": PIN_ONE_CPU,
+        "blas_threads": BLAS_THREADS, "passes": passes,
         "failures": failures, **summary,
     }
     (out / f"result-{workload.name}-seed{args.seed}-trace{args.trace}.json").write_text(

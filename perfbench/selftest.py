@@ -28,10 +28,11 @@ from perfbench.tracing import NULL_TRACER, PER_LAYER  # noqa: E402
 TINY = {
     "tiny-forward": replace(
         workloads.WORKLOADS["world-churn"], name="tiny-forward", dataset="genes",
-        scale=0.08, builds=2,
+        scale=0.08, insert_ratio=0.45,
     ),
     "tiny-node2vec": replace(
-        workloads.WORKLOADS["genes-node2vec"], name="tiny-node2vec", scale=0.08, builds=1,
+        workloads.WORKLOADS["genes-node2vec"], name="tiny-node2vec", scale=0.08,
+        insert_ratio=0.45,
     ),
 }
 
@@ -44,8 +45,8 @@ def tiny_floors(monkeypatch):
     monkeypatch.setattr(run, "WORKLOADS", {**workloads.WORKLOADS, **TINY})
 
 
-def _run(tmp_path, name="tiny-forward"):
-    return pipeline.run(TINY[name], 0, tmp_path, NULL_TRACER, builds=TINY[name].builds)
+def _run(tmp_path, name="tiny-forward", passes=1, setups=1):
+    return pipeline.run(TINY[name], 0, tmp_path, [NULL_TRACER] * passes, setups=setups)
 
 
 def _main(*argv) -> tuple[int, dict]:
@@ -55,14 +56,16 @@ def _main(*argv) -> tuple[int, dict]:
     return code, json.loads(stdout.getvalue().strip().splitlines()[-1])
 
 
-def test_clean_run_repeats_passes_and_builds(tmp_path):
-    one = _run(tmp_path)
-    assert one.failures == [] and len(one.passes) == 1 and len(one.setup_s) == 2
-    measured = one.passes[0].stream_s + one.setup_s[0] + one.fit_s[0]
-    more = pipeline.run(TINY["tiny-forward"], 0, tmp_path, NULL_TRACER, builds=3,
-                        min_seconds=2.5 * measured)
-    assert more.failures == [] and len(more.passes) >= 2 and len(more.setup_s) >= 3
-    assert len(more.apply_s) == len(more.passes) * len(one.apply_s)
+def test_clean_run_reports_each_item_as_its_mean_over_passes(tmp_path):
+    result = _run(tmp_path, passes=2, setups=3)
+    assert result.failures == [] and len(result.passes) == 2 and len(result.setup_s) == 3
+    first, second = result.passes
+    assert first.head_digest == second.head_digest
+    assert len(result.apply_s) == len(first.apply_s)
+    assert np.allclose(result.apply_s, (np.add(first.apply_s, second.apply_s)) / 2)
+    assert np.allclose(result.query_s, (np.add(first.query_s, second.query_s)) / 2)
+    assert np.isclose(result.fit_s, (first.fit_s + second.fit_s) / 2)
+    assert np.isclose(result.wall_s, (first.wall_s + second.wall_s) / 2)
 
 
 def test_pinned_gate_catches_a_perturbed_pinned_vector(tmp_path, monkeypatch):
@@ -120,17 +123,19 @@ def test_one_shot_and_determinism_gates():
     assert gates.identical([("a", 0.5), ("a", 0.5), ("a", 0.25)])
 
 
-def _listed(kind: str) -> set[str]:
+def _listed(kind: str) -> dict[str, tuple]:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {entry["name"] for entry in spec[kind]}
+    return {entry["name"]: (entry["unit"], entry["better"]) for entry in spec[kind]}
 
 
 @pytest.mark.parametrize("name", sorted(TINY))
 def test_traced_run_reports_every_per_layer_metric(name):
     code, summary = _main("--workload", name, "--seed", "0", "--seconds", "0", "--trace", "1")
     assert code == 0 and summary["correct"] and summary["failed"] == 0
-    assert set(summary["metrics"]) == set(PER_LAYER) == _listed("per_layer")
-    assert set(workloads.LAYER_MAP) == set(PER_LAYER)
+    assert set(summary["metrics"]) == set(PER_LAYER)
+    assert {name: row[:2] for name, row in PER_LAYER.items()} == _listed("per_layer")
+    workload_names = set(workloads.WORKLOADS) | {"both"}
+    assert all(on in workload_names for *_, on in PER_LAYER.values())
     metrics = {k: v["value"] for k, v in summary["metrics"].items()}
     busy = ["datasets.load_s", "engine.compile_s", "service.apply_s", "store.commit_s",
             "serve.backend_slice_ms", "trace.coverage"]
@@ -143,7 +148,8 @@ def test_traced_run_reports_every_per_layer_metric(name):
 def test_untraced_run_reports_every_end_to_end_metric():
     code, summary = _main("--workload", "tiny-node2vec", "--seed", "1", "--seconds", "0")
     assert code == 0 and summary["correct"]
-    assert set(summary["metrics"]) == set(run.END_TO_END) == _listed("end_to_end")
+    assert set(summary["metrics"]) == set(run.END_TO_END)
+    assert run.END_TO_END == {name: unit for name, (unit, _) in _listed("end_to_end").items()}
     assert all(m["value"] > 0 for m in summary["metrics"].values())
 
 

@@ -9,7 +9,7 @@ spans cover.  Re-entering a span of the same name on the same thread (an
 engine query calling another engine query) records nothing, so call counts
 and times are per outermost call.
 
-Untraced runs use :data:`NULL_TRACER`, whose spans are no-op context
+Untraced passes use :data:`NULL_TRACER`, whose spans are no-op context
 managers.
 """
 
@@ -105,6 +105,15 @@ class Tracer:
             owner, attribute, raw = self._patches.pop()
             setattr(owner, attribute, raw)
 
+    @contextlib.contextmanager
+    def installed(self):
+        """The library's layer boundaries wrapped for the ``with`` block."""
+        instrument(self)
+        try:
+            yield self
+        finally:
+            self.uninstall()
+
     # -------------------------------------------------------------- analysis
 
     def named(self, name: str) -> list[dict]:
@@ -157,12 +166,15 @@ class _NullTracer:
     def span(self, name: str, **attrs):
         return contextlib.nullcontext()
 
+    def installed(self):
+        return contextlib.nullcontext(self)
+
 
 NULL_TRACER = _NullTracer()
 
 
 def instrument(tracer: Tracer) -> None:
-    """Wrap the library's public layer boundaries (see ``workloads.LAYER_MAP``)."""
+    """Wrap the library's public layer boundaries (see :data:`PER_LAYER`)."""
     import repro.core.node2vec as node2vec_core
     import repro.core.node2vec_dynamic as node2vec_dynamic
     import repro.nn.corpus as corpus
@@ -222,59 +234,61 @@ def instrument(tracer: Tracer) -> None:
         )
 
 
-#: Per-layer metrics of a traced run: name -> (unit, better).
+#: Per-layer metrics of a traced pass: name -> (unit, better, the
+#: end-to-end metric it should move, the workload where it shows most).  A
+#: change names its claim and its no-change prediction from this table.
 PER_LAYER = {
-    "datasets.load_s": ("s", "lower"),
-    "dynamic.partition_s": ("s", "lower"),
-    "feed.build_s": ("s", "lower"),
-    "engine.compile_s": ("s", "lower"),
-    "engine.query_s": ("s", "lower"),
-    "engine.query_calls": ("count", "lower"),
-    "engine.sync_s": ("s", "lower"),
-    "engine.sync_calls": ("count", "lower"),
-    "engine.row_cache_hit_ratio": ("fraction", "higher"),
-    "forward.build_targets_s": ("s", "lower"),
-    "forward.fit_self_s": ("s", "lower"),
-    "forward.final_loss": ("loss", "lower"),
-    "optim.update_s": ("s", "lower"),
-    "optim.update_calls": ("count", "lower"),
-    "extend.batch_s": ("s", "lower"),
-    "extend.calls": ("count", "lower"),
-    "extend.prime_s": ("s", "lower"),
-    "extend.facts_per_arrival": ("ratio", "lower"),
-    "graph.build_s": ("s", "lower"),
-    "walks.generate_s": ("s", "lower"),
-    "corpus.pairs_s": ("s", "lower"),
-    "skipgram.train_s": ("s", "lower"),
-    "skipgram.pairs_trained": ("count", "lower"),
-    "negsample.sample_s": ("s", "lower"),
-    "skipgram.final_loss": ("loss", "lower"),
-    "service.apply_s": ("s", "lower"),
-    "service.apply.decode_s": ("s", "lower"),
-    "service.apply.engine_sync_s": ("s", "lower"),
-    "service.apply.embed_s": ("s", "lower"),
-    "service.apply.store_commit_s": ("s", "lower"),
-    "service.batches": ("count", "higher"),
-    "service.ops": ("count", "higher"),
-    "store.commit_s": ("s", "lower"),
-    "store.prune_s": ("s", "lower"),
-    "store.rows": ("count", "lower"),
-    "store.dead_rows": ("count", "lower"),
-    "store.versions_retained": ("count", "lower"),
-    "store.save_s": ("s", "lower"),
-    "store.load_s": ("s", "lower"),
-    "store.bytes": ("bytes", "lower"),
-    "index.search_ms": ("ms", "lower"),
-    "index.rows": ("count", "lower"),
-    "serve.backend_fetch_ms": ("ms", "lower"),
-    "serve.backend_knn_ms": ("ms", "lower"),
-    "serve.backend_slice_ms": ("ms", "lower"),
-    "serve.transport_ms": ("ms", "lower"),
-    "serve.response_bytes_fetch": ("bytes", "lower"),
-    "serve.response_bytes_knn": ("bytes", "lower"),
-    "serve.response_bytes_slice": ("bytes", "lower"),
-    "trace.overhead_pct": ("%", "lower"),
-    "trace.coverage": ("fraction", "higher"),
+    "datasets.load_s": ("s", "lower", "setup_s", "world-churn"),
+    "dynamic.partition_s": ("s", "lower", "setup_s", "world-churn"),
+    "feed.build_s": ("s", "lower", "setup_s", "world-churn"),
+    "engine.compile_s": ("s", "lower", "setup_s", "both"),
+    "engine.query_s": ("s", "lower", "fit_s, apply_*", "world-churn"),
+    "engine.query_calls": ("count", "lower", "fit_s, apply_*", "world-churn"),
+    "engine.sync_s": ("s", "lower", "apply_p50_ms", "world-churn"),
+    "engine.sync_calls": ("count", "lower", "apply_p50_ms", "world-churn"),
+    "engine.row_cache_hit_ratio": ("fraction", "higher", "apply_p50_ms", "world-churn"),
+    "forward.build_targets_s": ("s", "lower", "fit_s", "world-churn"),
+    "forward.fit_self_s": ("s", "lower", "fit_s", "world-churn"),
+    "forward.final_loss": ("loss", "lower", "static_acc", "world-churn"),
+    "optim.update_s": ("s", "lower", "fit_s", "both"),
+    "optim.update_calls": ("count", "lower", "fit_s", "both"),
+    "extend.batch_s": ("s", "lower", "apply_ops_per_s", "world-churn"),
+    "extend.calls": ("count", "lower", "apply_ops_per_s", "world-churn"),
+    "extend.prime_s": ("s", "lower", "setup_s", "world-churn"),
+    "extend.facts_per_arrival": ("ratio", "lower", "apply_ops_per_s", "world-churn"),
+    "graph.build_s": ("s", "lower", "fit_s", "genes-node2vec"),
+    "walks.generate_s": ("s", "lower", "fit_s, apply_p50_ms", "genes-node2vec"),
+    "corpus.pairs_s": ("s", "lower", "fit_s, apply_p50_ms", "genes-node2vec"),
+    "skipgram.train_s": ("s", "lower", "fit_s, apply_p50_ms", "genes-node2vec"),
+    "skipgram.pairs_trained": ("count", "lower", "fit_s, apply_p50_ms", "genes-node2vec"),
+    "negsample.sample_s": ("s", "lower", "fit_s, apply_p50_ms", "genes-node2vec"),
+    "skipgram.final_loss": ("loss", "lower", "static_acc", "genes-node2vec"),
+    "service.apply_s": ("s", "lower", "apply_*", "both"),
+    "service.apply.decode_s": ("s", "lower", "apply_*", "both"),
+    "service.apply.engine_sync_s": ("s", "lower", "apply_*", "world-churn"),
+    "service.apply.embed_s": ("s", "lower", "apply_*", "both"),
+    "service.apply.store_commit_s": ("s", "lower", "apply_*", "genes-node2vec"),
+    "service.batches": ("count", "higher", "apply_*", "both"),
+    "service.ops": ("count", "higher", "apply_ops_per_s", "both"),
+    "store.commit_s": ("s", "lower", "apply_p50_ms", "genes-node2vec"),
+    "store.prune_s": ("s", "lower", "apply_p50_ms", "genes-node2vec"),
+    "store.rows": ("count", "lower", "apply_p50_ms, query_*", "genes-node2vec"),
+    "store.dead_rows": ("count", "lower", "apply_p50_ms", "genes-node2vec"),
+    "store.versions_retained": ("count", "lower", "peak_rss_mb", "genes-node2vec"),
+    "store.save_s": ("s", "lower", "wall_s", "both"),
+    "store.load_s": ("s", "lower", "wall_s", "both"),
+    "store.bytes": ("bytes", "lower", "wall_s", "both"),
+    "index.search_ms": ("ms", "lower", "query_p50_ms", "genes-node2vec"),
+    "index.rows": ("count", "lower", "query_p50_ms", "genes-node2vec"),
+    "serve.backend_fetch_ms": ("ms", "lower", "query_p50_ms", "both"),
+    "serve.backend_knn_ms": ("ms", "lower", "query_p50_ms", "both"),
+    "serve.backend_slice_ms": ("ms", "lower", "query_p99_ms", "both"),
+    "serve.transport_ms": ("ms", "lower", "query_p50_ms", "both"),
+    "serve.response_bytes_fetch": ("bytes", "lower", "query_p50_ms", "both"),
+    "serve.response_bytes_knn": ("bytes", "lower", "query_p50_ms", "both"),
+    "serve.response_bytes_slice": ("bytes", "lower", "query_p99_ms", "both"),
+    "trace.overhead_pct": ("%", "lower", "none (tracing cost)", "both"),
+    "trace.coverage": ("fraction", "higher", "none (trace quality)", "both"),
 }
 
 
@@ -284,11 +298,16 @@ def _p50_ms(durations) -> float:
     return float(np.percentile(np.asarray(durations) * 1e3, 50)) if len(durations) else 0.0
 
 
-def layer_metrics(tracer: Tracer, traced, untraced) -> dict:
-    """Every :data:`PER_LAYER` metric from a traced pass and its untraced twin."""
+def layer_metrics(tracer: Tracer, result, tracers: list) -> dict:
+    """Every :data:`PER_LAYER` metric from a run of traced and untraced
+    passes (one tracer per pass, the last one ``tracer``).
+
+    Layer figures come from the last pass; the tracing overhead compares the
+    mean wall time of the traced passes with that of the untraced ones.
+    """
     import numpy as np
 
-    last = traced.passes[-1]
+    last = result.passes[-1]
     tracer.keep_within(last.intervals)
     build = last.build
     telemetry = build.telemetry
@@ -334,7 +353,9 @@ def layer_metrics(tracer: Tracer, traced, untraced) -> dict:
     values["store.dead_rows"] = head.num_dead
     values["store.versions_retained"] = len(store.versions())
     values["store.bytes"] = tracer.named("store.save")[-1]["attrs"].get("bytes", 0)
-    values["index.search_ms"] = _p50_ms([s["end"] - s["start"] for s in tracer.named("index.search")])
+    values["index.search_ms"] = _p50_ms(
+        [s["end"] - s["start"] for s in tracer.named("index.search")]
+    )
     values["index.rows"] = head.num_rows
 
     clients = sorted(
@@ -357,12 +378,14 @@ def layer_metrics(tracer: Tracer, traced, untraced) -> dict:
     else:  # every backend call must come from the benchmark's one client
         raise RuntimeError(f"{len(clients)} client queries but {len(backends)} backend calls")
 
-    values["trace.overhead_pct"] = 100.0 * (traced.wall_s / untraced.wall_s - 1.0)
+    traced = [p.wall_s for p, t in zip(result.passes, tracers) if t is tracer]
+    untraced = [p.wall_s for p, t in zip(result.passes, tracers) if t is not tracer]
+    values["trace.overhead_pct"] = 100.0 * (np.mean(traced) / np.mean(untraced) - 1.0)
     window = sum(end - start for start, end in last.intervals)
     values["trace.coverage"] = sum(
         tracer.covered(start, end) for start, end in last.intervals
     ) / window
     return {
         name: {"value": float(values[name]), "unit": unit}
-        for name, (unit, _better) in PER_LAYER.items()
+        for name, (unit, *_) in PER_LAYER.items()
     }

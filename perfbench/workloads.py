@@ -1,18 +1,21 @@
-"""The benchmark's workloads and the layer map later changes are judged by.
+"""The benchmark's workloads.
 
 Every workload runs the whole pipeline (dataset → partition → feed →
 compiled walk engine → static fit → streamed CRUD apply interleaved with
-HTTP queries → persist) through public entry points only.  The three differ
+HTTP queries → persist) through public entry points only.  The two differ
 in which layer dominates, so an optimisation of one layer shows on the
-workload that loads it and must leave the others unchanged:
+workload that loads it and must leave the other unchanged:
 
-* ``mondial-insert`` is dominated by FoRWaRD training (``core.forward`` +
-  ``optim``); streaming is the paper's insert-only one-by-one protocol.
 * ``world-churn`` is dominated by the CRUD apply path (``engine`` sync,
-  ``core.forward_dynamic`` re-extension under ``recompute``); fit is short.
+  ``core.forward_dynamic`` re-extension under ``recompute``); its FoRWaRD
+  fit is the only one in the benchmark, so ``core.forward`` and ``optim``
+  changes show in its ``fit_s``.
 * ``genes-node2vec`` is dominated by skip-gram training (``graph``,
   ``walks``, ``nn``) in both fit and apply, and its store holds every fact,
-  so the store, index and serve layers work on the largest state.
+  so the store, index and serve layers work on the larger state.
+
+Which per-layer metric should move which end-to-end metric on which
+workload is recorded next to each metric in ``perfbench.tracing.PER_LAYER``.
 """
 
 from __future__ import annotations
@@ -24,17 +27,12 @@ from dataclasses import dataclass
 #: seconds of one thread for the same fit, and change the fit's last digits.
 BLAS_THREADS = 1
 
-#: The whole run is pinned to one CPU.  The main thread and the server's
-#: handler thread take turns (closed loop), so pinning costs no parallelism;
-#: it replaces a cross-CPU wake-up per query by a same-CPU thread switch.
-PIN_ONE_CPU = True
-
 #: Seed of dataset generation, partitioning, the churn schedule, static
 #: training and the service's extension RNG: data, stream and model are
-#: part of the workload, and ``--seed`` draws the query plan and the CV
-#: folds.  Seeding data and model per run moved the accuracies by more than
-#: any bound allows: their test sets hold about 100 facts, and
-#: ``genes-node2vec`` classifies new facts at chance level.
+#: part of the workload, and ``--seed`` draws the query plan.  Seeding data
+#: and model per run moved the accuracies by more than any bound allows:
+#: their test sets hold about 100 facts, and ``genes-node2vec`` classifies
+#: new facts at chance level.
 DATA_SEED = 0
 
 #: Queries the main thread sends after each applied batch (closed loop, one
@@ -51,7 +49,27 @@ QUERY_MIX = {"fetch": 0.50, "knn": 0.35, "slice": 0.15}
 FETCH_IDS = 4
 K = 5
 KNN_RELATION_SHARE = 0.25
+#: Skew of fact popularity, ``1/rank^s``.  An assumption, not a measurement:
+#: it is the default of the serve tier's own load generator
+#: (``repro.serve.loadgen.LoadProfile.zipf_exponent``).
 ZIPF_EXPONENT = 1.1
+
+#: Every item a run times (each batch's apply, each query, each fit) is
+#: timed once per pass and reported as its mean over passes.  The host's
+#: speed moves in steps of up to 2x that last seconds to minutes, so the
+#: pooled median of single timings jumps between speed levels; a per-item
+#: mean over passes far apart in time moves far less (quartile spread over
+#: one-minute windows of a fixed numpy and Python kernel on a shared
+#: two-vCPU Xeon host: 0.27 for the pooled median, 0.12 for the median of
+#: two-pass means).
+MIN_PASSES = 2
+#: Nominal seconds of one measured pass; a run of ``--seconds`` makes
+#: :func:`passes` passes, a count fixed in advance so a slow host gets no
+#: fewer samples.
+PASS_SECONDS = 24.0
+#: Set-ups per run (the passes' own plus set-up-only repeats); their median
+#: is ``setup_s``.
+SETUPS = 5
 
 #: Sample floors: p90 apply latency needs at least ten batches beyond it and
 #: p99 query latency at least twenty queries beyond it.
@@ -76,7 +94,7 @@ NODE2VEC_CONFIG = dict(
 
 @dataclass(frozen=True)
 class Workload:
-    """One benchmark workload: inputs, method, feed shape and repeat count."""
+    """One benchmark workload: inputs, method and feed shape."""
 
     name: str
     dataset: str
@@ -85,9 +103,6 @@ class Workload:
     method: str  # "forward" or "node2vec"
     policy: str  # service policy: "recompute" or "on_arrival"
     ops: tuple[str, ...]  # op kinds the feed must contain
-    #: Minimum number of set-ups and fits in one run; their medians are
-    #: reported, so one slow repeat on a shared host moves them less.
-    builds: int
     why: str
 
 
@@ -95,27 +110,19 @@ WORKLOADS = {
     w.name: w
     for w in (
         Workload(
-            name="mondial-insert",
-            dataset="mondial", scale=1.0, insert_ratio=0.5,
-            method="forward", policy="recompute", ops=("insert",), builds=2,
-            why="FoRWaRD fit dominates (core.forward, optim heavy); insert-only "
-            "one-fact batches keep apply light. Shows SGD-kernel gains; stream "
-            "changes must not move fit_s.",
-        ),
-        Workload(
             name="world-churn",
-            dataset="world", scale=1.0, insert_ratio=0.45,
+            dataset="world", scale=0.65, insert_ratio=0.65,
             method="forward", policy="recompute",
-            ops=("insert", "delete", "update"), builds=6,
+            ops=("insert", "delete", "update"),
             why="CRUD apply dominates (engine sync, forward_dynamic re-extension, "
-            "store commit heavy); fit is short. Same engine/store layers as "
-            "mondial-insert, incremental writes.",
+            "store commit heavy); FoRWaRD fit (core.forward, optim) is short but "
+            "only here.",
         ),
         Workload(
             name="genes-node2vec",
-            dataset="genes", scale=0.3, insert_ratio=0.45,
+            dataset="genes", scale=0.2, insert_ratio=0.6,
             method="node2vec", policy="on_arrival",
-            ops=("insert", "delete", "update"), builds=2,
+            ops=("insert", "delete", "update"),
             why="Skip-gram (graph, walks, nn) dominates fit and apply; FoRWaRD "
             "layers idle. All-facts store loads store, index and serve layers "
             "most.",
@@ -123,59 +130,7 @@ WORKLOADS = {
     )
 }
 
-#: Per-layer metric -> (end-to-end metric it should move, workload where it
-#: shows most).  A change names its claim and its no-change prediction from
-#: this table.
-LAYER_MAP = {
-    "datasets.load_s": ("setup_s", "mondial-insert"),
-    "dynamic.partition_s": ("setup_s", "mondial-insert"),
-    "feed.build_s": ("setup_s", "mondial-insert"),
-    "engine.compile_s": ("setup_s", "mondial-insert, world-churn"),
-    "engine.query_s": ("fit_s; apply_*", "mondial-insert; world-churn"),
-    "engine.query_calls": ("fit_s; apply_*", "mondial-insert; world-churn"),
-    "engine.sync_s": ("apply_p50_ms", "world-churn"),
-    "engine.sync_calls": ("apply_p50_ms", "world-churn"),
-    "engine.row_cache_hit_ratio": ("apply_p50_ms", "world-churn"),
-    "forward.build_targets_s": ("fit_s", "mondial-insert"),
-    "forward.fit_self_s": ("fit_s", "mondial-insert"),
-    "forward.final_loss": ("static_acc", "mondial-insert"),
-    "optim.update_s": ("fit_s", "mondial-insert, genes-node2vec"),
-    "optim.update_calls": ("fit_s", "mondial-insert, genes-node2vec"),
-    "extend.batch_s": ("apply_ops_per_s", "world-churn"),
-    "extend.calls": ("apply_ops_per_s", "world-churn"),
-    "extend.prime_s": ("setup_s", "world-churn"),
-    "extend.facts_per_arrival": ("apply_ops_per_s", "world-churn"),
-    "graph.build_s": ("fit_s", "genes-node2vec"),
-    "walks.generate_s": ("fit_s; apply_p50_ms", "genes-node2vec"),
-    "corpus.pairs_s": ("fit_s; apply_p50_ms", "genes-node2vec"),
-    "skipgram.train_s": ("fit_s; apply_p50_ms", "genes-node2vec"),
-    "skipgram.pairs_trained": ("fit_s; apply_p50_ms", "genes-node2vec"),
-    "negsample.sample_s": ("fit_s; apply_p50_ms", "genes-node2vec"),
-    "skipgram.final_loss": ("static_acc", "genes-node2vec"),
-    "service.apply_s": ("apply_*", "all"),
-    "service.apply.decode_s": ("apply_*", "all"),
-    "service.apply.engine_sync_s": ("apply_*", "world-churn"),
-    "service.apply.embed_s": ("apply_*", "all"),
-    "service.apply.store_commit_s": ("apply_*", "genes-node2vec"),
-    "service.batches": ("apply_*", "all"),
-    "service.ops": ("apply_ops_per_s", "all"),
-    "store.commit_s": ("apply_p50_ms", "genes-node2vec"),
-    "store.prune_s": ("apply_p50_ms", "genes-node2vec"),
-    "store.rows": ("apply_p50_ms; query_*", "genes-node2vec"),
-    "store.dead_rows": ("apply_p50_ms", "genes-node2vec"),
-    "store.versions_retained": ("peak_rss_mb", "genes-node2vec"),
-    "store.save_s": ("wall_s", "all"),
-    "store.load_s": ("wall_s", "all"),
-    "store.bytes": ("wall_s", "all"),
-    "index.search_ms": ("query_p50_ms", "genes-node2vec"),
-    "index.rows": ("query_p50_ms", "genes-node2vec"),
-    "serve.backend_fetch_ms": ("query_p50_ms", "all"),
-    "serve.backend_knn_ms": ("query_p50_ms", "all"),
-    "serve.backend_slice_ms": ("query_p99_ms", "all"),
-    "serve.transport_ms": ("query_p50_ms", "all"),
-    "serve.response_bytes_fetch": ("query_p50_ms", "all"),
-    "serve.response_bytes_knn": ("query_p50_ms", "all"),
-    "serve.response_bytes_slice": ("query_p99_ms", "all"),
-    "trace.overhead_pct": ("none (tracing cost)", "all"),
-    "trace.coverage": ("none (trace quality)", "all"),
-}
+
+def passes(seconds: float) -> int:
+    """Passes of a run that measures about ``seconds``."""
+    return max(MIN_PASSES, round(seconds / PASS_SECONDS))
