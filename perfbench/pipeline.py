@@ -55,7 +55,7 @@ from repro.service.store import EmbeddingStore
 from perfbench import gates
 from perfbench.workloads import (
     DATA_SEED, FETCH_IDS, FORWARD_CONFIG, K, KNN_RELATION_SHARE, MIN_BATCHES, MIN_QUERIES,
-    NODE2VEC_CONFIG, PINNED_EVERY, QUERIES_PER_BATCH, QUERY_MIX, ZIPF_EXPONENT,
+    NODE2VEC_CONFIG, PINNED_EVERY, PLAN_BLOCK, QUERIES_PER_BATCH, QUERY_MIX, ZIPF_EXPONENT,
     Workload,
 )
 from perfbench.tracing import NULL_TRACER
@@ -202,24 +202,50 @@ def _zipf(n: int) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _apportion(n: int, mix: dict[str, float]) -> list[str]:
+    """``n`` kinds in the shares of ``mix``, rounded by largest remainder."""
+    quotas = {kind: n * share for kind, share in mix.items()}
+    counts = {kind: int(quota) for kind, quota in quotas.items()}
+    short = n - sum(counts.values())
+    for kind in sorted(quotas, key=lambda k: counts[k] - quotas[k])[:short]:
+        counts[kind] += 1
+    return [kind for kind in mix for _ in range(counts[kind])]
+
+
+def _balanced(rng: np.random.Generator, items: list[str]):
+    """Endless seeded sequence holding each item once in every ``len(items)``."""
+    while True:
+        yield from (str(item) for item in rng.permutation(items))
+
+
 def query_plan(baseline, count: int, seed: int) -> list[dict]:
     """``count`` queries over the baseline's facts, zipfian by popularity.
 
     Fact popularity ranks are a seeded permutation of the baseline fact ids,
-    so the hot facts differ per seed.  Relation filters and slices pick a
-    relation uniformly: a slice costs in proportion to its relation's size
-    and slices set the query tail, so a relation mix that followed the
-    seeded hot facts would make the tail depend on the seed.
+    so the hot facts differ per seed.  Kinds and slice relations are
+    stratified rather than drawn per query: every ``PLAN_BLOCK`` queries
+    hold the kinds in the exact shares of ``QUERY_MIX``, among the pinned
+    and the unpinned queries alike, in seeded order, and slices of each
+    group take the relations in turn, in a seeded order per round.  Slices
+    set the query tail, and a slice costs in proportion to its relation's
+    size, which grows over the stream; a kind and relation drawn per query
+    would let the seed decide how many large slices fall late in the
+    stream, and with it ``query_p95_ms``.  Relation filters of kNN queries
+    pick a relation uniformly.
     """
     rng = np.random.default_rng([seed, 7])
     fact_ids = rng.permutation(np.asarray(sorted(baseline.row_of), dtype=np.int64))
     fact_p = _zipf(fact_ids.size)
     relations = sorted(set(baseline.relations))
-    kinds = list(QUERY_MIX)
-    mix = np.asarray([QUERY_MIX[k] for k in kinds])
+    pinned = np.arange(count) % PINNED_EVERY == 0
+    kinds = np.empty(count, dtype=object)
+    for start in range(0, count, PLAN_BLOCK):
+        block = np.arange(start, min(start + PLAN_BLOCK, count))
+        for slots in (block[pinned[block]], block[~pinned[block]]):
+            kinds[slots] = rng.permutation(_apportion(slots.size, QUERY_MIX))
+    slice_relations = {flag: _balanced(rng, relations) for flag in (True, False)}
     plan = []
-    for _ in range(count):
-        kind = kinds[int(rng.choice(len(kinds), p=mix))]
+    for i, kind in enumerate(kinds):
         if kind == "fetch":
             ids = rng.choice(fact_ids, FETCH_IDS, p=fact_p)
             op = {"kind": kind, "fact_ids": [int(f) for f in ids]}
@@ -228,7 +254,7 @@ def query_plan(baseline, count: int, seed: int) -> list[dict]:
             if rng.random() < KNN_RELATION_SHARE:
                 op["relation"] = relations[int(rng.integers(len(relations)))]
         else:
-            op = {"kind": kind, "relation": relations[int(rng.integers(len(relations)))]}
+            op = {"kind": kind, "relation": next(slice_relations[bool(pinned[i])])}
         plan.append(op)
     return plan
 

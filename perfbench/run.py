@@ -43,7 +43,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 END_TO_END = {
     "setup_s": "s", "fit_s": "s", "apply_ops_per_s": "1/s",
     "apply_p50_ms": "ms", "apply_p90_ms": "ms",
-    "query_qps": "1/s", "query_p50_ms": "ms", "query_p99_ms": "ms",
+    "query_qps": "1/s", "query_p50_ms": "ms", "query_p95_ms": "ms",
     "wall_s": "s", "peak_rss_mb": "MB", "static_acc": "fraction", "new_acc": "fraction",
 }
 
@@ -69,7 +69,11 @@ def end_to_end(result) -> dict:
         "apply_p90_ms": float(np.percentile(apply_ms, 90)),
         "query_qps": query_ms.size / float(np.sum(query_ms) / 1e3),
         "query_p50_ms": float(np.percentile(query_ms, 50)),
-        "query_p99_ms": float(np.percentile(query_ms, 99)),
+        # p95, not p99: slices of the growing head set the tail, and the top 1%
+        # are the slices of the stream's last ~15%, a few seconds of each pass
+        # on a host whose speed steps by up to 2x about every second; the top
+        # 5% span the stream's last ~40%
+        "query_p95_ms": float(np.percentile(query_ms, 95)),
         "wall_s": result.wall_s,
         "peak_rss_mb": result.peak_rss_mb,
         "static_acc": result.static_acc,

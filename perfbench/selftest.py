@@ -12,7 +12,9 @@ import contextlib
 import io
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +123,28 @@ def test_one_shot_and_determinism_gates():
     assert gates.one_shot(vectors, vectors + 1e-8)
     assert gates.identical(["a", "a", "a"]) == []
     assert gates.identical([("a", 0.5), ("a", 0.5), ("a", 0.25)])
+
+
+def test_query_plan_holds_the_mix_in_every_block():
+    baseline = SimpleNamespace(
+        row_of=dict.fromkeys(range(40)), relations=["a"] * 20 + ["b"] * 12 + ["c"] * 8
+    )
+    block = workloads.PLAN_BLOCK
+    plan = pipeline.query_plan(baseline, 3 * block, seed=3)
+    assert plan == pipeline.query_plan(baseline, 3 * block, seed=3)
+    assert plan != pipeline.query_plan(baseline, 3 * block, seed=4)
+    pinned = [i % workloads.PINNED_EVERY == 0 for i in range(len(plan))]
+    for start in range(0, len(plan), block):
+        for flag in (True, False):
+            ops = [op for i, op in enumerate(plan[start:start + block], start) if pinned[i] == flag]
+            shares = {kind: round(len(ops) * share) for kind, share in workloads.QUERY_MIX.items()}
+            assert Counter(op["kind"] for op in ops) == shares
+    for flag in (True, False):
+        relations = [op["relation"] for i, op in enumerate(plan)
+                     if op["kind"] == "slice" and pinned[i] == flag]
+        rounds = len(relations) // 3
+        assert rounds >= 3
+        assert all(sorted(relations[3 * r:3 * r + 3]) == ["a", "b", "c"] for r in range(rounds))
 
 
 def _listed(kind: str) -> dict[str, tuple]:

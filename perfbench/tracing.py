@@ -282,11 +282,11 @@ PER_LAYER = {
     "index.rows": ("count", "lower", "query_p50_ms", "genes-node2vec"),
     "serve.backend_fetch_ms": ("ms", "lower", "query_p50_ms", "both"),
     "serve.backend_knn_ms": ("ms", "lower", "query_p50_ms", "both"),
-    "serve.backend_slice_ms": ("ms", "lower", "query_p99_ms", "both"),
+    "serve.backend_slice_ms": ("ms", "lower", "query_p95_ms", "both"),
     "serve.transport_ms": ("ms", "lower", "query_p50_ms", "both"),
     "serve.response_bytes_fetch": ("bytes", "lower", "query_p50_ms", "both"),
     "serve.response_bytes_knn": ("bytes", "lower", "query_p50_ms", "both"),
-    "serve.response_bytes_slice": ("bytes", "lower", "query_p99_ms", "both"),
+    "serve.response_bytes_slice": ("bytes", "lower", "query_p95_ms", "both"),
     "trace.overhead_pct": ("%", "lower", "none (tracing cost)", "both"),
     "trace.coverage": ("fraction", "higher", "none (trace quality)", "both"),
 }

@@ -49,6 +49,9 @@ QUERY_MIX = {"fetch": 0.50, "knn": 0.35, "slice": 0.15}
 FETCH_IDS = 4
 K = 5
 KNN_RELATION_SHARE = 0.25
+#: Queries of one stratum of the plan: the smallest block in which the
+#: pinned and the unpinned queries both hold ``QUERY_MIX`` exactly.
+PLAN_BLOCK = QUERIES_PER_BATCH * PINNED_EVERY
 #: Skew of fact popularity, ``1/rank^s``.  An assumption, not a measurement:
 #: it is the default of the serve tier's own load generator
 #: (``repro.serve.loadgen.LoadProfile.zipf_exponent``).
@@ -72,7 +75,7 @@ PASS_SECONDS = 24.0
 SETUPS = 5
 
 #: Sample floors: p90 apply latency needs at least ten batches beyond it and
-#: p99 query latency at least twenty queries beyond it.
+#: p95 query latency at least a hundred queries beyond it.
 MIN_BATCHES = 100
 MIN_QUERIES = 2000
 
