@@ -26,6 +26,7 @@ from repro.db.database import Database, Fact
 from repro.engine import WalkEngine, sample_codes, sample_distinct_pairs
 from repro.kernels.base import Kernel
 from repro.kernels.registry import KernelRegistry, default_kernels
+from repro.optim.optimizers import Adam, segment_sum
 from repro.utils.rng import ensure_rng
 from repro.walks.random_walks import AttributeDistribution
 from repro.walks.schemes import WalkScheme, walk_targets
@@ -302,8 +303,6 @@ class ForwardEmbedder:
     def _train(
         self, phi: np.ndarray, psi: np.ndarray, samples: list[_TargetSamples]
     ) -> list[float]:
-        from repro.optim.optimizers import Adam
-
         optimizer = Adam(self.config.learning_rate)
         params = {"phi": phi, "psi": psi}
         batch_size = self.config.batch_size
@@ -347,11 +346,9 @@ class ForwardEmbedder:
         grad_matrix = (f_left * errors[:, None]).T @ f_right / size
         grad_matrix = _symmetrize(grad_matrix)
 
-        rows_concat = np.concatenate([left, right])
-        grads_concat = np.concatenate([grad_left, grad_right])
-        unique_rows, inverse = np.unique(rows_concat, return_inverse=True)
-        grad_phi = np.zeros((unique_rows.size, phi.shape[1]))
-        np.add.at(grad_phi, inverse, grads_concat)
+        unique_rows, grad_phi = segment_sum(
+            np.concatenate([left, right]), np.concatenate([grad_left, grad_right])
+        )
 
         grads = {"phi": grad_phi, "psi": grad_matrix[None]}
         rows = {"phi": unique_rows, "psi": np.array([samples.target_index])}

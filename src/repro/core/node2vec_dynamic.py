@@ -17,7 +17,7 @@ from repro.core.base import TupleEmbedding
 from repro.core.node2vec import Node2VecModel
 from repro.db.database import Fact
 from repro.graph.node2vec_walks import Node2VecWalker
-from repro.nn.corpus import WalkCorpus, build_training_pairs
+from repro.nn.corpus import build_training_pairs
 from repro.nn.negative_sampling import UnigramNegativeSampler
 from repro.utils.rng import ensure_rng, spawn_rngs
 
@@ -67,8 +67,7 @@ class Node2VecDynamicExtender:
             corpus = walker.generate(start_nodes=new_nodes)
             pairs = build_training_pairs(corpus.walks, config.window_size)
             if len(pairs):
-                counts = self._corpus_counts(corpus, graph.num_nodes)
-                sampler = UnigramNegativeSampler(counts, rng=sampler_rng)
+                sampler = UnigramNegativeSampler(corpus.node_counts(), rng=sampler_rng)
                 skipgram.train_pairs(
                     pairs,
                     sampler,
@@ -80,11 +79,3 @@ class Node2VecDynamicExtender:
         for fact in new_facts:
             result.set(fact, self.model.vector(fact))
         return result
-
-    @staticmethod
-    def _corpus_counts(corpus: WalkCorpus, num_nodes: int) -> np.ndarray:
-        """Node counts padded to the current node-table size."""
-        counts = np.zeros(num_nodes, dtype=np.float64)
-        raw = corpus.node_counts()
-        counts[: raw.shape[0]] = raw
-        return counts

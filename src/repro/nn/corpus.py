@@ -3,9 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
+
+
+def _concatenated(walks: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """All walks as one flat int64 array, plus each walk's length."""
+    walks = list(walks)
+    lengths = np.fromiter(map(len, walks), dtype=np.int64, count=len(walks))
+    flat = np.fromiter(chain.from_iterable(walks), dtype=np.int64, count=int(lengths.sum()))
+    return flat, lengths
 
 
 @dataclass
@@ -17,11 +26,8 @@ class WalkCorpus:
 
     def node_counts(self) -> np.ndarray:
         """Occurrence count of every node across all walks."""
-        counts = np.zeros(self.num_nodes, dtype=np.float64)
-        for walk in self.walks:
-            for node in walk:
-                counts[node] += 1.0
-        return counts
+        flat, _ = _concatenated(self.walks)
+        return np.bincount(flat, minlength=self.num_nodes).astype(np.float64)
 
     def __len__(self) -> int:
         return len(self.walks)
@@ -39,18 +45,14 @@ def build_training_pairs(
     train only on pairs centred at newly inserted nodes, which combined with
     gradient freezing leaves old embeddings untouched.
     """
-    pairs: list[tuple[int, int]] = []
-    for walk in walks:
-        length = len(walk)
-        for i, center in enumerate(walk):
-            if restrict_centers_to is not None and center not in restrict_centers_to:
-                continue
-            lower = max(0, i - window_size)
-            upper = min(length, i + window_size + 1)
-            for j in range(lower, upper):
-                if j == i:
-                    continue
-                pairs.append((center, walk[j]))
-    if not pairs:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.asarray(pairs, dtype=np.int64)
+    flat, lengths = _concatenated(walks)
+    offsets = np.array([o for o in range(-window_size, window_size + 1) if o != 0], dtype=np.int64)
+    # Position of every flat entry within its walk, then one row of window
+    # offsets per position: row-major order is the (walk, center, context) order.
+    position = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    target = position[:, None] + offsets
+    valid = (target >= 0) & (target < np.repeat(lengths, lengths)[:, None])
+    if restrict_centers_to is not None:
+        valid &= np.isin(flat, list(restrict_centers_to))[:, None]
+    centers, slots = np.nonzero(valid)
+    return np.stack([flat[centers], flat[centers + offsets[slots]]], axis=1)

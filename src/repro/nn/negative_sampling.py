@@ -32,6 +32,8 @@ class UnigramNegativeSampler:
             total = weights.sum()
         self.probabilities = weights / total
         self._cumulative = np.cumsum(self.probabilities)
+        # ``_cumulative[-1]`` can round below 1.0: draws above it go to the last drawable node
+        self._last_node = int(np.flatnonzero(self.probabilities)[-1])
         self.rng = ensure_rng(rng)
 
     @property
@@ -41,4 +43,5 @@ class UnigramNegativeSampler:
     def sample(self, size: int | tuple[int, ...]) -> np.ndarray:
         """Sample node indices with the smoothed unigram distribution."""
         draws = self.rng.random(size=size)
-        return np.searchsorted(self._cumulative, draws, side="right").astype(np.int64)
+        nodes = np.searchsorted(self._cumulative, draws, side="right")
+        return np.minimum(nodes, self._last_node).astype(np.int64)

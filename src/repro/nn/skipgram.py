@@ -7,7 +7,8 @@ The objective for a (center ``u``, context ``v``) pair with negatives
 
 where ``x`` are input (center) embeddings and ``y`` output (context)
 embeddings.  The gradients are the standard word2vec expressions and are
-applied with mini-batch SGD/Adam.  A set of *frozen* node indices can be
+applied with mini-batch SGD/Adam through the shared row-sparse kernel of
+:mod:`repro.optim`.  A set of *frozen* node indices can be
 supplied; gradients for those rows are zeroed before the update, which is
 exactly how the dynamic Node2Vec adaptation of Section IV-A keeps existing
 tuple embeddings stable.
@@ -21,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.nn.negative_sampling import UnigramNegativeSampler
-from repro.optim.optimizers import Adam, Optimizer
+from repro.optim.optimizers import Adam, Optimizer, segment_sum
 from repro.utils.rng import ensure_rng
 
 
@@ -61,13 +62,18 @@ class SkipGramModel:
         self.input_embeddings = self.rng.normal(0.0, scale, size=(num_nodes, dim))
         self.output_embeddings = self.rng.normal(0.0, scale, size=(num_nodes, dim))
         self.optimizer = optimizer or Adam(self.config.learning_rate)
-        self.frozen: set[int] = set()
+        self._frozen_rows = np.zeros(num_nodes, dtype=bool)
 
     # ------------------------------------------------------------- topology
 
     @property
     def num_nodes(self) -> int:
         return self.input_embeddings.shape[0]
+
+    @property
+    def frozen(self) -> frozenset[int]:
+        """Indices of the nodes whose embeddings training leaves unchanged."""
+        return frozenset(np.flatnonzero(self._frozen_rows).tolist())
 
     def add_nodes(self, count: int) -> np.ndarray:
         """Append ``count`` new randomly initialised nodes; returns their indices."""
@@ -80,6 +86,7 @@ class SkipGramModel:
         start = self.num_nodes
         self.input_embeddings = np.vstack([self.input_embeddings, new_in])
         self.output_embeddings = np.vstack([self.output_embeddings, new_out])
+        self._frozen_rows = np.append(self._frozen_rows, np.zeros(count, dtype=bool))
         # Optimizer state shapes no longer match; restart it (the paper's
         # continuation trains only the new rows, so losing old momenta is fine).
         self.optimizer.reset()
@@ -87,28 +94,27 @@ class SkipGramModel:
 
     def freeze(self, nodes: Iterable[int]) -> None:
         """Mark nodes whose embeddings must not change during training."""
-        self.frozen.update(int(n) for n in nodes)
+        self._frozen_rows[np.fromiter(nodes, dtype=np.int64)] = True
 
     def unfreeze_all(self) -> None:
-        self.frozen.clear()
+        self._frozen_rows[:] = False
 
     # -------------------------------------------------------------- training
 
     def loss(self, centers: np.ndarray, contexts: np.ndarray, negatives: np.ndarray) -> float:
         """Mean SGNS loss of a batch (used by tests and for monitoring)."""
-        x = self.input_embeddings[centers]
-        y_pos = self.output_embeddings[contexts]
-        y_neg = self.output_embeddings[negatives]
-        pos_score = np.sum(x * y_pos, axis=1)
-        neg_score = np.einsum("bd,bkd->bk", x, y_neg)
-        loss = -np.log(_sigmoid(pos_score) + 1e-12).sum()
-        loss -= np.log(_sigmoid(-neg_score) + 1e-12).sum()
-        return float(loss / max(len(centers), 1))
+        return self._batch_step(centers, contexts, negatives)[0]
 
     def _batch_gradients(
         self, centers: np.ndarray, contexts: np.ndarray, negatives: np.ndarray
     ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
         """Accumulated gradients of one batch, as (grads, row-index) dicts."""
+        return self._batch_step(centers, contexts, negatives)[1:]
+
+    def _batch_step(
+        self, centers: np.ndarray, contexts: np.ndarray, negatives: np.ndarray
+    ) -> tuple[float, dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Mean loss and accumulated gradients of one batch, from one forward pass."""
         x = self.input_embeddings[centers]  # (b, d)
         y_pos = self.output_embeddings[contexts]  # (b, d)
         y_neg = self.output_embeddings[negatives]  # (b, k, d)
@@ -117,34 +123,30 @@ class SkipGramModel:
         neg_score = np.einsum("bd,bkd->bk", x, y_neg)  # (b, k)
         pos_sig = _sigmoid(pos_score)
         neg_sig = _sigmoid(neg_score)
+        loss = -np.log(pos_sig + 1e-12).sum()
+        loss -= np.log(_sigmoid(-neg_score) + 1e-12).sum()
 
         batch = max(len(centers), 1)
         grad_x = ((pos_sig - 1.0)[:, None] * y_pos + np.einsum("bk,bkd->bd", neg_sig, y_neg)) / batch
         grad_y_pos = (pos_sig - 1.0)[:, None] * x / batch
         grad_y_neg = neg_sig[:, :, None] * x[:, None, :] / batch
 
-        # Scatter-accumulate into unique rows so the optimizer sees one
-        # gradient per touched row.
-        input_rows, input_inverse = np.unique(centers, return_inverse=True)
-        grad_input = np.zeros((input_rows.size, x.shape[1]))
-        np.add.at(grad_input, input_inverse, grad_x)
-
-        out_indices = np.concatenate([contexts, negatives.reshape(-1)])
-        out_grads = np.concatenate([grad_y_pos, grad_y_neg.reshape(-1, x.shape[1])])
-        output_rows, output_inverse = np.unique(out_indices, return_inverse=True)
-        grad_output = np.zeros((output_rows.size, x.shape[1]))
-        np.add.at(grad_output, output_inverse, out_grads)
+        # Accumulate into unique rows so the optimizer sees one gradient per
+        # touched row.
+        input_rows, grad_input = segment_sum(centers, grad_x)
+        output_rows, grad_output = segment_sum(
+            np.concatenate([contexts, negatives.reshape(-1)]),
+            np.concatenate([grad_y_pos, grad_y_neg.reshape(-1, x.shape[1])]),
+        )
 
         # Zero the gradients of frozen rows (stability constraint).
-        if self.frozen:
-            frozen_mask_in = np.isin(input_rows, list(self.frozen))
-            grad_input[frozen_mask_in] = 0.0
-            frozen_mask_out = np.isin(output_rows, list(self.frozen))
-            grad_output[frozen_mask_out] = 0.0
+        if self._frozen_rows.any():
+            grad_input[self._frozen_rows[input_rows]] = 0.0
+            grad_output[self._frozen_rows[output_rows]] = 0.0
 
         grads = {"input": grad_input, "output": grad_output}
         rows = {"input": input_rows, "output": output_rows}
-        return grads, rows
+        return float(loss / batch), grads, rows
 
     def train_pairs(
         self,
@@ -172,9 +174,9 @@ class SkipGramModel:
                 centers = batch[:, 0]
                 contexts = batch[:, 1]
                 negatives = sampler.sample((len(batch), negatives_k))
-                epoch_loss += self.loss(centers, contexts, negatives)
+                loss, grads, rows = self._batch_step(centers, contexts, negatives)
+                epoch_loss += loss
                 num_batches += 1
-                grads, rows = self._batch_gradients(centers, contexts, negatives)
                 self.optimizer.update(params, grads, rows)
             history.append(epoch_loss / max(num_batches, 1))
         # Parameter dict holds references; keep attributes in sync in case the

@@ -44,3 +44,37 @@ def test_empirical_frequencies_match_probabilities():
 def test_invalid_counts_rejected(bad):
     with pytest.raises(ValueError):
         UnigramNegativeSampler(bad)
+
+
+class _FixedDraws:
+    """Stands in for the sampler's generator and returns fixed uniform draws."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=np.float64)
+
+    def random(self, size=None):
+        return self.draws.reshape(size)
+
+
+@pytest.mark.parametrize(
+    "counts, last",
+    [(np.ones(7), 6), (np.array([3.0, 5.0, 0.0, 0.0]), 1), (np.array([2.0, 0.0, 9.0]), 2)],
+)
+def test_draw_just_below_one_stays_in_range(counts, last):
+    sampler = UnigramNegativeSampler(counts, rng=0)
+    below_one = np.nextafter(1.0, 0.0)
+    sampler.rng = _FixedDraws([0.0, 0.5, below_one])
+    draws = sampler.sample(3)
+    assert draws[-1] == last
+    assert draws.max() < sampler.num_nodes
+    assert sampler.probabilities[draws].min() > 0
+
+
+def test_clamp_keeps_every_in_range_draw():
+    rng = np.random.default_rng(4)
+    counts = rng.integers(0, 5, size=50).astype(float)
+    sampler = UnigramNegativeSampler(counts, rng=0)
+    draws = np.random.default_rng(1).random(5000)
+    sampler.rng = _FixedDraws(draws)
+    expected = np.searchsorted(np.cumsum(sampler.probabilities), draws, side="right")
+    assert np.array_equal(sampler.sample(5000), expected)

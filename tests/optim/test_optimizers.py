@@ -90,3 +90,39 @@ def test_invalid_momentum_rejected():
 def test_invalid_adam_betas_rejected():
     with pytest.raises(ValueError):
         Adam(0.1, beta1=1.0)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: Adam(0.1), lambda: Momentum(0.1, momentum=0.9)], ids=["adam", "momentum"]
+)
+def test_duplicate_rows_equal_one_update_with_summed_gradient(make):
+    start = np.array([[0.5, -1.0], [2.0, 3.0]])
+    duplicated, summed = {"emb": start.copy()}, {"emb": start.copy()}
+    dup_opt, sum_opt = make(), make()
+    for step in range(3):
+        g1 = np.array([[0.3 + step, -0.2]])
+        g2 = np.array([[0.1, 0.7 * step]])
+        dup_opt.update(duplicated, {"emb": np.vstack([g1, g2])}, {"emb": np.array([0, 0])})
+        sum_opt.update(summed, {"emb": g1 + g2}, {"emb": np.array([0])})
+        assert np.array_equal(duplicated["emb"], summed["emb"])
+    assert np.array_equal(duplicated["emb"][1], start[1])
+
+
+def test_unsorted_distinct_rows_update_like_sorted_rows():
+    grads = np.array([[1.0], [-2.0], [0.5]])
+    shuffled, ordered = {"emb": np.ones((4, 1))}, {"emb": np.ones((4, 1))}
+    Adam(0.1).update(shuffled, {"emb": grads}, {"emb": np.array([3, 0, 2])})
+    Adam(0.1).update(ordered, {"emb": grads[[1, 2, 0]]}, {"emb": np.array([0, 2, 3])})
+    assert np.array_equal(shuffled["emb"], ordered["emb"])
+
+
+def test_adam_state_is_allocated_once_per_shape():
+    optimizer = Adam(0.1)
+    params = {"emb": np.zeros((3, 2))}
+    optimizer.update(params, {"emb": np.ones((1, 2))}, {"emb": np.array([1])})
+    first = optimizer._first["emb"]
+    optimizer.update(params, {"emb": np.ones((1, 2))}, {"emb": np.array([2])})
+    assert optimizer._first["emb"] is first
+    params = {"emb": np.zeros((5, 2))}
+    optimizer.update(params, {"emb": np.ones((1, 2))}, {"emb": np.array([4])})
+    assert optimizer._first["emb"].shape == (5, 2)
